@@ -191,7 +191,7 @@ let run n seed general value attack scramble chaos sessions propose_at horizon
   in
   let sc =
     H.Scenario.default ~name:"cli" ~seed ~roles ~proposals ~events ~horizon
-      ~record_trace:(trace_flag || trace_out <> None)
+      ~record:(if trace_flag || trace_out <> None then Ssba_sim.Trace.Kind.all else [])
       ?transport ~channels
       ~admission:(workload <> None)
       params

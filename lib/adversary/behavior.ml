@@ -47,8 +47,6 @@ let every env ~period f =
 
 let on_message env f = Ssba_net.Link.set_handler env.link env.self f
 
-let trace env event = Ssba_sim.Engine.record env.engine ~node:env.self event
-
 (* Random plausible protocol message, for fuzzing/spam strategies. *)
 let random_message env ~values =
   let rng = env.rng in

@@ -44,9 +44,5 @@ val every : env -> period:float -> (unit -> unit) -> unit
 (** Install the network handler for [env.self]. *)
 val on_message : env -> (message Ssba_net.Msg.t -> unit) -> unit
 
-(** Record a typed trace event attributed to [env.self]; custom adversary
-    diagnostics go through {!Ssba_sim.Trace.Ext} so rendering stays lazy. *)
-val trace : env -> Ssba_sim.Trace.event -> unit
-
 (** A random plausible protocol message drawn over [values] (for fuzzers). *)
 val random_message : env -> values:value list -> message

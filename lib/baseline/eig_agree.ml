@@ -102,7 +102,7 @@ let boundary t b =
     let v = resolve t ~path:[ t.g ] ~depth:1 in
     t.decided <- Some v;
     Engine.record t.engine ~node:t.id
-      (Ssba_sim.Trace.Ext { kind = "eig-decide"; render = (fun () -> v) });
+      (Ssba_sim.Trace.Eig_decide { v });
     t.on_decide v ~tau:(local_time t)
   end
 

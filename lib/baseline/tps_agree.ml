@@ -97,12 +97,11 @@ let do_return t outcome =
   if t.returned = None then begin
     let tau = local_time t in
     t.returned <- Some (outcome, tau);
-    let phase = t.phase in
     Engine.record t.engine ~node:t.id
-      (Ssba_sim.Trace.Ext
+      (Ssba_sim.Trace.Tps_return
          {
-           kind = "tps-return";
-           render = (fun () -> Fmt.str "%a at phase %d" pp_outcome outcome phase);
+           decided = (match outcome with Decided v -> Some v | Aborted -> None);
+           phase = t.phase;
          });
     t.on_return outcome ~tau_ret:tau
   end

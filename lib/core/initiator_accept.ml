@@ -35,6 +35,7 @@
                      these variables outlive session reset/eviction/GC. *)
 
 open Types
+module Trace = Ssba_sim.Trace
 
 type invocation_report = {
   invoked_at : float option;  (* block K execution (this node invoked) *)
@@ -177,8 +178,8 @@ let do_accept t v =
          paper's sanitization discards clearly-wrong entries, so we refuse to
          accept rather than anchor on garbage. Only reachable before
          stabilization. *)
-      t.ctx.trace
-        (Ssba_sim.Trace.Ia_skip { g = t.g; reason = "no live recording time" })
+      if Trace.wants t.ctx.trace Trace.Kind.Ia_skip then
+        t.ctx.record (Trace.Ia_skip { g = t.g; reason = "no live recording time" })
   | Some tau_g ->
       let sep = t.guard in
       (match sep.Separation.invoked_at with
@@ -195,7 +196,6 @@ let do_accept t v =
       sep.Separation.last_g <- Some tau;
       (* The blackout's job ends where last(G)'s begins. *)
       Separation.clear_session_value sep;
-      t.ctx.trace (Ssba_sim.Trace.I_accept { g = t.g; v; tau_g });
       t.on_accept v ~tau_g
 
 (* Evaluate blocks L, M, N for value [v]; called after every arrival. *)
@@ -279,10 +279,12 @@ let handle_initiator t v =
       sep.Separation.n4_at <- None;
       send t Support v;
       set_last_gm t v;
-      t.ctx.trace (Ssba_sim.Trace.Ia_invoke { g = t.g; v });
+      if Trace.wants t.ctx.trace Trace.Kind.Ia_invoke then
+        t.ctx.record (Trace.Ia_invoke { g = t.g; v });
       eval t v
     end
-    else t.ctx.trace (Ssba_sim.Trace.Ia_reject { g = t.g; v })
+    else if Trace.wants t.ctx.trace Trace.Kind.Ia_reject then
+      t.ctx.record (Trace.Ia_reject { g = t.g; v })
   end
 
 (* Arrival of a support/approve/ready message. *)

@@ -22,6 +22,7 @@
      cleanup — decay anything older than (2f+3)*Phi. *)
 
 open Types
+module Trace = Ssba_sim.Trace
 
 type trip = {
   mutable init_from_p : float option;  (* arrival of (init,...) actually from p *)
@@ -42,7 +43,6 @@ type t = {
   broadcasters : Recv_log.t;  (* node -> local time added; same decay rules *)
   mutable tau_g : float option;
   mutable on_accept : p:node_id -> v:value -> k:int -> unit;
-  mutable on_broadcaster : node_id -> unit;
   (* One-entry lookup cache: during an agreement almost every message hits
      the same (p, v, k) triplet, so caching the last key dodges the tuple
      allocation and polymorphic hash per arrival. Invalidated wherever trips
@@ -58,12 +58,10 @@ let create ~ctx ~g =
     broadcasters = Recv_log.create ();
     tau_g = None;
     on_accept = (fun ~p:_ ~v:_ ~k:_ -> ());
-    on_broadcaster = (fun _ -> ());
     cached = None;
   }
 
 let set_on_accept t f = t.on_accept <- f
-let set_on_broadcaster t f = t.on_broadcaster <- f
 
 let now t = t.ctx.local_time ()
 let prm t = t.ctx.params
@@ -106,9 +104,10 @@ let broadcasters t = Recv_log.senders t.broadcasters
 
 let send t kind ~p ~v ~k = t.ctx.send_all (Mb { kind; p; g = t.g; v; k })
 
-let do_accept t ~tau (p, v, k) tr =
+let do_accept t ~tau ~tau_g (p, v, k) tr =
   tr.accepted_at <- Some tau;
-  t.ctx.trace (Ssba_sim.Trace.Mb_accept { g = t.g; p; v; k });
+  if Trace.wants t.ctx.trace Trace.Kind.Mb_accept then
+    t.ctx.record (Trace.Mb_accept { g = t.g; p; v; k; tau; tau_g });
   t.on_accept ~p ~v ~k
 
 (* Evaluate blocks W–Z for one triplet; no-op until the anchor is known.
@@ -141,17 +140,16 @@ let eval t ~tau ((p, v, k) as key) tr =
           send t Init2 ~p ~v ~k
         end;
         if Recv_log.count tr.echo >= n_f && tr.accepted_at = None then
-          do_accept t ~tau key tr
+          do_accept t ~tau ~tau_g:tg key tr
       end;
       (* Y *)
       if tau <= deadline2 then begin
         if Recv_log.count tr.init2 >= n_2f && not (Recv_log.mem t.broadcasters ~sender:p)
         then begin
           Recv_log.note t.broadcasters ~sender:p ~at:tau;
-          t.ctx.trace
-            (Ssba_sim.Trace.Mb_broadcaster
-               { g = t.g; p; total = broadcaster_count t });
-          t.on_broadcaster p
+          if Trace.wants t.ctx.trace Trace.Kind.Mb_broadcaster then
+            t.ctx.record
+              (Trace.Mb_broadcaster { g = t.g; p; total = broadcaster_count t; tau })
         end;
         if Recv_log.count tr.init2 >= n_f && not tr.sent_echo2 then begin
           tr.sent_echo2 <- true;
@@ -164,7 +162,7 @@ let eval t ~tau ((p, v, k) as key) tr =
         send t Echo2 ~p ~v ~k
       end;
       if Recv_log.count tr.echo2 >= n_f && tr.accepted_at = None then
-        do_accept t ~tau key tr
+        do_accept t ~tau ~tau_g:tg key tr
 
 (* Block V: this node broadcasts (p = self). *)
 let broadcast t ~v ~k = send t Init ~p:t.ctx.self ~v ~k
@@ -207,7 +205,8 @@ let set_anchor t tau_g =
   List.iter (Hashtbl.remove t.trips) !doomed;
   t.cached <- None;
   Recv_log.decay t.broadcasters ~horizon;
-  t.ctx.trace (Ssba_sim.Trace.Anchor_set { g = t.g; tau_g });
+  if Trace.wants t.ctx.trace Trace.Kind.Anchor_set then
+    t.ctx.record (Trace.Anchor_set { g = t.g; tau_g });
   let tau = now t in
   Hashtbl.iter (fun key tr -> eval t ~tau key tr) t.trips
 

@@ -13,9 +13,6 @@ val create : ctx:ctx -> g:general -> t
 (** Callback fired when a triplet [(p, v, k)] is accepted. *)
 val set_on_accept : t -> (p:node_id -> v:value -> k:int -> unit) -> unit
 
-(** Callback fired when a node is first identified as a broadcaster (Y1). *)
-val set_on_broadcaster : t -> (node_id -> unit) -> unit
-
 (** Block V: broadcast [(self, v, k)] to all nodes. *)
 val broadcast : t -> v:value -> k:int -> unit
 

@@ -46,7 +46,6 @@ type t = {
          not the protocol's reaction to the network. *)
   mutable returns : return_info list;  (* newest first *)
   mutable subscribers : (return_info -> unit) list;
-  mutable observers : (general -> Ss_byz_agree.observation -> unit) list;
   (* General-side state for the Sending Validity Criteria, per logical id: *)
   last_init_at : (general, float) Hashtbl.t;  (* IG1 *)
   last_value_init_at : (general * value, float) Hashtbl.t;  (* IG2 *)
@@ -67,7 +66,6 @@ let instance_count t = Session_table.live t.instances
 let session_stats t = Session_table.stats t.instances
 let returns t = List.rev t.returns
 let subscribe t f = t.subscribers <- f :: t.subscribers
-let subscribe_observations t f = t.observers <- f :: t.observers
 
 let ctx_of t =
   {
@@ -78,7 +76,8 @@ let ctx_of t =
     after_local =
       (fun dl f ->
         Engine.schedule_after t.engine ~delay:(Clock.real_of_local_duration t.clock dl) f);
-    trace = (fun event -> Engine.record t.engine ~node:t.id event);
+    trace = Engine.trace t.engine;
+    record = (fun event -> Engine.record t.engine ~node:t.id event);
   }
 
 let guard_of t g =
@@ -114,13 +113,8 @@ let make_instance t g =
       | Decided _ -> Metrics.incr t.c_decided
       | Aborted -> Metrics.incr t.c_aborted);
       List.iter (fun f -> f r) t.subscribers);
-  Ss_byz_agree.set_observer inst (fun obs ->
-      (match obs with
-      | Ss_byz_agree.Obs_iaccept { tau_g; _ } ->
-          Session_table.set_anchor t.instances g tau_g
-      | Ss_byz_agree.Obs_mb_accept _ | Ss_byz_agree.Obs_broadcast _
-      | Ss_byz_agree.Obs_broadcaster _ -> ());
-      List.iter (fun f -> f g obs) t.observers);
+  Ss_byz_agree.set_on_anchor inst (fun tau_g ->
+      Session_table.set_anchor t.instances g tau_g);
   inst
 
 let instance t g =
@@ -131,9 +125,9 @@ let instance t g =
   | None ->
       let inst = make_instance t g in
       (match Session_table.insert_reporting t.instances ~g ~now:(local_time t) inst with
-      | Some victim ->
+      | Some victim when Trace.wants (Engine.trace t.engine) Trace.Kind.Session_evict ->
           Engine.record t.engine ~node:t.id (Trace.Session_evict { g = victim })
-      | None -> ());
+      | Some _ | None -> ());
       inst
 
 (* Admission-controlled session lookup for the General's own proposals:
@@ -231,7 +225,6 @@ let create_on ?(channels = 1) ?session_capacity ?(blackout = true)
       guards = Hashtbl.create 4;
       returns = [];
       subscribers = [];
-      observers = [];
       last_init_at = Hashtbl.create 4;
       last_value_init_at = Hashtbl.create 4;
       blocked_until = Hashtbl.create 4;
@@ -342,7 +335,8 @@ let propose ?(channel = 0) t v =
     Hashtbl.replace t.last_init_at logical tau;
     Hashtbl.replace t.last_value_init_at (logical, v) tau;
     Metrics.incr t.c_proposals;
-    Engine.record t.engine ~node:t.id (Trace.Propose { g = logical; v });
+    if Trace.wants (Engine.trace t.engine) Trace.Kind.Propose then
+      Engine.record t.engine ~node:t.id (Trace.Propose { g = logical; v });
     (* Block Q0: send (Initiator, G, m) to all — the General invokes via its
        own self-addressed copy, like every other node. *)
     Ssba_net.Link.broadcast t.link ~src:t.id (Initiator { g = logical; v });

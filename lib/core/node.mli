@@ -108,12 +108,6 @@ val returns : t -> return_info list
 (** Be notified of every future return. *)
 val subscribe : t -> (return_info -> unit) -> unit
 
-(** Be notified of fine-grained protocol events (I-accepts, msgd-broadcast
-    accepts, own decision broadcasts, broadcaster detections) across all of
-    this node's agreement instances, tagged with the General. *)
-val subscribe_observations :
-  t -> (general -> Ss_byz_agree.observation -> unit) -> unit
-
 (** Append a canonical whole-node state fingerprint: sessions (with the
     lifecycle bookkeeping that drives eviction), separation guards,
     General-side rate-limiting state and the return history — the model

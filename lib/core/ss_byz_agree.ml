@@ -29,25 +29,12 @@
    reset). *)
 
 open Types
+module Trace = Ssba_sim.Trace
 
 type state =
   | Idle
   | Running
   | Returned of outcome * float  (* outcome, local return time *)
-
-(* Fine-grained events exposed to external monitors (the harness's invariant
-   checker). Purely observational: the protocol never reads them back. *)
-type observation =
-  | Obs_iaccept of { v : value; tau_g : float; tau : float }
-  | Obs_mb_accept of {
-      p : node_id;
-      v : value;
-      k : int;
-      tau : float;
-      tau_g : float;  (* this node's anchor for the execution, for phase math *)
-    }
-  | Obs_broadcast of { v : value; k : int; tau : float }
-  | Obs_broadcaster of { p : node_id; tau : float }
 
 type t = {
   g : general;
@@ -61,7 +48,7 @@ type t = {
   mutable st : state;
   mutable epoch : int;
   mutable on_return : outcome -> tau_g:float -> tau_ret:float -> unit;
-  mutable observer : observation -> unit;
+  mutable on_anchor : float -> unit;
 }
 
 let now t = t.ctx.local_time ()
@@ -73,7 +60,7 @@ let initiator_accept t = t.ia
 let msgd_broadcast t = t.mb
 
 let set_on_return t f = t.on_return <- f
-let set_observer t f = t.observer <- f
+let set_on_anchor t f = t.on_anchor <- f
 
 (* ----- block S matching ----------------------------------------------- *)
 
@@ -140,13 +127,14 @@ let do_return t outcome =
   | Some tau_g ->
       let tau = now t in
       t.st <- Returned (outcome, tau);
-      t.ctx.trace
-        (Ssba_sim.Trace.Agree_return
-           {
-             g = t.g;
-             decided = (match outcome with Decided v -> Some v | Aborted -> None);
-             tau_g;
-           });
+      if Trace.wants t.ctx.trace Trace.Kind.Agree_return then
+        t.ctx.record
+          (Trace.Agree_return
+             {
+               g = t.g;
+               decided = (match outcome with Decided v -> Some v | Aborted -> None);
+               tau_g;
+             });
       t.on_return outcome ~tau_g ~tau_ret:tau;
       (* Cleanup rule: 3d after returning, reset Initiator-Accept, tau_g and
          msgd-broadcast. Until then the node keeps relaying in the
@@ -157,7 +145,8 @@ let do_return t outcome =
         (fun () -> if t.epoch = epoch then full_reset t)
 
 let decide t v ~round =
-  t.observer (Obs_broadcast { v; k = round + 1; tau = now t });
+  if Trace.wants t.ctx.trace Trace.Kind.Broadcast then
+    t.ctx.record (Trace.Broadcast { g = t.g; v; k = round + 1; tau = now t });
   Msgd_broadcast.broadcast t.mb ~v ~k:(round + 1);
   do_return t (Decided v)
 
@@ -217,7 +206,9 @@ let handle_iaccept t v ~tau_g =
   | Returned _ -> ()
   | Idle | Running ->
       let tau = now t in
-      t.observer (Obs_iaccept { v; tau_g; tau });
+      if Trace.wants t.ctx.trace Trace.Kind.I_accept then
+        t.ctx.record (Trace.I_accept { g = t.g; v; tau_g; tau });
+      t.on_anchor tau_g;
       t.tau_g <- Some tau_g;
       t.own_iaccept <- Some v;
       t.st <- Running;
@@ -234,9 +225,6 @@ let handle_iaccept t v ~tau_g =
       end
 
 let handle_mb_accept t ~p ~v ~k =
-  t.observer
-    (Obs_mb_accept
-       { p; v; k; tau = now t; tau_g = Option.value ~default:Float.nan t.tau_g });
   (* block S excludes the General; [t.g] may be a logical (channelled) id,
      so compare against the physical node behind it *)
   let general = t.g mod (prm t).Params.n in
@@ -278,13 +266,11 @@ let create ?blackout ?guard ~ctx ~g () =
       st = Idle;
       epoch = 0;
       on_return = (fun _ ~tau_g:_ ~tau_ret:_ -> ());
-      observer = (fun _ -> ());
+      on_anchor = (fun _ -> ());
     }
   in
   Initiator_accept.set_on_accept ia (fun v ~tau_g -> handle_iaccept t v ~tau_g);
   Msgd_broadcast.set_on_accept mb (fun ~p ~v ~k -> handle_mb_accept t ~p ~v ~k);
-  Msgd_broadcast.set_on_broadcaster mb (fun p ->
-      t.observer (Obs_broadcaster { p; tau = now t }));
   t
 
 (* Message dispatch from the node glue. [t.g] may be a logical (channelled)

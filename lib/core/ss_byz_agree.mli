@@ -11,23 +11,6 @@ type state =
   | Running  (** the anchor [tau_g] is set; blocks R–U are live *)
   | Returned of outcome * float  (** stopped; resets 3d later *)
 
-(** Fine-grained protocol events for external monitors (all times local). *)
-type observation =
-  | Obs_iaccept of { v : value; tau_g : float; tau : float }
-      (** the Initiator-Accept primitive issued an I-accept *)
-  | Obs_mb_accept of {
-      p : node_id;
-      v : value;
-      k : int;
-      tau : float;
-      tau_g : float;  (** this node's anchor at the accept, for phase math *)
-    }
-      (** msgd-broadcast accepted the triplet [(p, v, k)] *)
-  | Obs_broadcast of { v : value; k : int; tau : float }
-      (** this node broadcast [(self, v, k)] while deciding (R3/S3) *)
-  | Obs_broadcaster of { p : node_id; tau : float }
-      (** [p] was first identified as a broadcaster (Y1, [TPS-4]) *)
-
 type t
 
 (** [create ?blackout ?guard ~ctx ~g ()] — [guard] is the persistent
@@ -40,8 +23,9 @@ val create :
 (** Callback fired when the instance stops (decides or aborts). *)
 val set_on_return : t -> (outcome -> tau_g:float -> tau_ret:float -> unit) -> unit
 
-(** Install an observation monitor (purely observational). *)
-val set_observer : t -> (observation -> unit) -> unit
+(** Callback fired when an I-accept anchors the instance on [tau_g] (the
+    moment the [I_accept] trace event is recorded). *)
+val set_on_anchor : t -> (float -> unit) -> unit
 
 (** Block Q1: invoke the protocol upon the General's [(Initiator, G, m)]. *)
 val invoke : t -> v:value -> unit

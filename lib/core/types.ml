@@ -88,5 +88,6 @@ type ctx = {
   local_time : unit -> float;
   send_all : message -> unit;
   after_local : float -> (unit -> unit) -> unit;
-  trace : Ssba_sim.Trace.event -> unit;
+  trace : Ssba_sim.Trace.t;
+  record : Ssba_sim.Trace.event -> unit;
 }

@@ -57,8 +57,11 @@ type ctx = {
   send_all : message -> unit;  (** broadcast to all nodes, self included *)
   after_local : float -> (unit -> unit) -> unit;
       (** arm a timer a local-time duration ahead *)
-  trace : Ssba_sim.Trace.event -> unit;
-      (** record a typed event; rendered only when tracing is enabled *)
+  trace : Ssba_sim.Trace.t;
+      (** the run's event stream; emit sites test {!Ssba_sim.Trace.wants}
+          before building an event *)
+  record : Ssba_sim.Trace.event -> unit;
+      (** record an event under this node's id at the current real time *)
 }
 (** Execution context handed to the protocol state machines by the node
     glue; every layer is unit-testable against a fake one. *)

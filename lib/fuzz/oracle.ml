@@ -78,10 +78,20 @@ let episode_for episodes (p : S.proposal) ~params =
       t >= lo && t <= hi)
     episodes
 
+(* The trace kinds the service checks below read. *)
+let service_kinds = Tr.Kind.[ Session_evict; Service_mode; Service_queue; Service_shed ]
+
 let run ?(config = default_config) spec =
   let params = Spec.params spec in
   let d = params.P.d in
-  let sc = Spec.to_scenario spec in
+  (* Record only what gets judged: the invariant monitor's kinds on calm
+     specs, the service kinds when a service runs. *)
+  let calm_invariants = spec.Spec.events = [] && config.check_invariants in
+  let record =
+    (if calm_invariants then H.Invariants.kinds else [])
+    @ if spec.Spec.service <> None then service_kinds else []
+  in
+  let sc = { (Spec.to_scenario spec) with S.record } in
   (* Service specs run with the driver attached: the workload generates the
      proposals at runtime (they land in [proposal_results] like scheduled
      ones) and the service report feeds the overload checks below. *)
@@ -167,7 +177,7 @@ let run ?(config = default_config) spec =
   (* Invariant monitors stay calm-only: they watch per-message causality at
      a granularity where even masked link faults (residual loss, late
      retransmits) are observable without being protocol violations. *)
-  if spec.Spec.events = [] && config.check_invariants then
+  if calm_invariants then
     List.iter (fun v -> add "invariants" "%s" v) (H.Invariants.check res);
   if config.check_timeliness then begin
     let episodes = H.Metrics.episodes res in

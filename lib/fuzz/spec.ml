@@ -107,14 +107,11 @@ let compile_delay = function
 let to_scenario t =
   let params = params t in
   let d = params.P.d in
-  (* Service specs need the workload's channel fan-out, admission-controlled
-     proposals (the At_capacity backstop behind watermark shedding) and a
-     trace for the oracle's queue/shed/drain checks. The trace and the
-     service metrics are outside the result digest, so a service spec's
-     digest is as pin-stable as any other. *)
+  (* Service specs need the workload's channel fan-out and
+     admission-controlled proposals (the At_capacity backstop behind
+     watermark shedding). *)
   let channels = match t.service with None -> 1 | Some w -> w.W.channels in
   S.default ~name:t.name ~seed:t.seed ~horizon:t.horizon
-    ~record_observations:true ~record_trace:(t.service <> None)
     ~admission:(t.service <> None) ~channels ~delay:(compile_delay t.delay)
     ~clocks:t.clocks
     ~roles:

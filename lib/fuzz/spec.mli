@@ -81,8 +81,8 @@ val max_reorder_extra : t -> float
     the transport's contract, and {!Oracle} holds it to that. *)
 val disruptive : t -> Ssba_harness.Scenario.event -> bool
 
-(** Compile to a runnable scenario (observations recorded, for the oracle's
-    invariant monitor). *)
+(** Compile to a runnable scenario that records no trace kinds
+    ({!Oracle.run} adds the ones it judges). *)
 val to_scenario : t -> Ssba_harness.Scenario.t
 
 (** The real time at which an event fires. *)

@@ -635,12 +635,12 @@ let e9_invariants ?(ns = [ 7; 10; 16 ]) ?(seeds = [ 91; 92; 93 ]) () =
             (fun seed ->
               let sc =
                 Scenario.default ~name ~seed ~roles ~proposals
-                  ~record_observations:true
+                  ~record:Invariants.kinds
                   ~horizon:(0.05 +. (4.0 *. params.Params.delta_agr))
                   params
               in
               let res = Runner.run sc in
-              obs_total := !obs_total + List.length res.Runner.observations;
+              obs_total := !obs_total + Ssba_sim.Trace.count res.Runner.trace;
               violations := Invariants.check res @ !violations)
             seeds;
           Table.add_row tbl

@@ -1,8 +1,9 @@
 (* Primitive-level invariant monitor.
 
    The agreement-level oracles in Checks validate what the user sees; this
-   module validates the *primitives'* contracts directly from the
-   fine-grained observations a run can record (Scenario.record_observations):
+   module validates the *primitives'* contracts directly from the four
+   protocol kinds of the run's trace ([kinds]; record them through
+   [Scenario.record]):
 
    [IA-1] (Correctness, correct General known to have initiated at t0):
      1A  every correct node I-accepts within 4d of t0;
@@ -27,7 +28,9 @@
    the run's clocks, exactly like the paper's rt(.) notation. *)
 
 open Ssba_core.Types
-module A = Ssba_core.Ss_byz_agree
+module Tr = Ssba_sim.Trace
+
+let kinds = Tr.Kind.[ I_accept; Mb_accept; Mb_broadcaster; Broadcast ]
 
 type iaccept = { node : node_id; v : value; rt_anchor : float; rt_accept : float }
 
@@ -36,26 +39,33 @@ let tol = 1e-9
 let rt_of (res : Runner.result) ~id tau =
   Ssba_sim.Clock.real_time_of_reading res.Runner.clocks.(id) tau
 
-let iaccepts (res : Runner.result) ~g =
+let iaccepts (res : Runner.result) entries ~g =
   List.filter_map
-    (fun (o : Runner.observation) ->
-      if o.Runner.obs_g <> g then None
-      else
-        match o.Runner.obs with
-        | A.Obs_iaccept { v; tau_g; tau = _ } ->
-            Some
-              {
-                node = o.Runner.obs_node;
-                v;
-                rt_anchor = rt_of res ~id:o.Runner.obs_node tau_g;
-                rt_accept = o.Runner.obs_rt;
-              }
-        | A.Obs_mb_accept _ | A.Obs_broadcast _ | A.Obs_broadcaster _ -> None)
-    res.Runner.observations
+    (fun (e : Tr.entry) ->
+      match e.Tr.event with
+      | Tr.I_accept { g = g'; v; tau_g; tau = _ } when g' = g ->
+          Some
+            {
+              node = e.Tr.node;
+              v;
+              rt_anchor = rt_of res ~id:e.Tr.node tau_g;
+              rt_accept = e.Tr.time;
+            }
+      | _ -> None)
+    entries
 
-let generals (res : Runner.result) =
+let generals entries =
   List.sort_uniq compare
-    (List.map (fun (o : Runner.observation) -> o.Runner.obs_g) res.Runner.observations)
+    (List.filter_map
+       (fun (e : Tr.entry) ->
+         match e.Tr.event with
+         | Tr.I_accept { g; _ }
+         | Tr.Mb_accept { g; _ }
+         | Tr.Mb_broadcaster { g; _ }
+         | Tr.Broadcast { g; _ } ->
+             Some g
+         | _ -> None)
+       entries)
 
 (* Cluster I-accepts for one General into (G, tau_g) sessions: a session is
    keyed by its root anchor — the earliest rt(tau_g) — and an accept belongs
@@ -87,7 +97,7 @@ let check_ia_1 (res : Runner.result) ~g ~t0 =
   let accs =
     List.filter
       (fun a -> a.rt_accept >= t0 -. tol && a.rt_accept <= t0 +. (8.0 *. d))
-      (iaccepts res ~g)
+      (iaccepts res (Tr.to_list res.Runner.trace) ~g)
   in
   let correct = res.Runner.correct in
   if List.length accs < List.length correct then
@@ -126,9 +136,10 @@ let check_ia_3_4 (res : Runner.result) =
   let complain fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let settle = params.Ssba_core.Params.delta_agr in
   let cutoff = (res.Runner.scenario).Scenario.horizon -. settle in
+  let entries = Tr.to_list res.Runner.trace in
   List.iter
     (fun g ->
-      let accs = iaccepts res ~g in
+      let accs = iaccepts res entries ~g in
       (* IA-3: every execution cluster must cover all correct nodes, with
          accepts within 2d. Skip clusters too close to the horizon. *)
       List.iter
@@ -176,7 +187,7 @@ let check_ia_3_4 (res : Runner.result) =
               end)
             accs)
         accs)
-    (generals res);
+    (generals entries);
   List.rev !violations
 
 let check_tps (res : Runner.result) =
@@ -204,36 +215,24 @@ let check_tps (res : Runner.result) =
       (fun q -> not (List.mem q present) && not (returned_before ~g ~node:q ~by))
       res.Runner.correct
   in
-  (* own broadcasts per (node, g): (v, k) list *)
+  (* own broadcasts per (node, g): (v, k) list; accepts and broadcaster
+     detections grouped by (g, p, v, k) / (g, p), accepts carrying the
+     contemporaneous anchor for phase arithmetic *)
   let broadcasts = Hashtbl.create 16 in
-  List.iter
-    (fun (o : Runner.observation) ->
-      match o.Runner.obs with
-      | A.Obs_broadcast { v; k; _ } ->
-          let key = (o.Runner.obs_node, o.Runner.obs_g) in
-          Hashtbl.replace broadcasts key
-            ((v, k) :: Option.value ~default:[] (Hashtbl.find_opt broadcasts key))
-      | A.Obs_iaccept _ | A.Obs_mb_accept _ | A.Obs_broadcaster _ -> ())
-    res.Runner.observations;
-  (* accepts and broadcaster detections grouped by (g, p, v, k) / (g, p);
-     accepts carry the contemporaneous anchor for phase arithmetic *)
   let accepts = Hashtbl.create 16 in
   let detections = Hashtbl.create 16 in
+  let push tbl key x =
+    Hashtbl.replace tbl key (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  in
   List.iter
-    (fun (o : Runner.observation) ->
-      match o.Runner.obs with
-      | A.Obs_mb_accept { p; v; k; tau; tau_g } ->
-          let key = (o.Runner.obs_g, p, v, k) in
-          Hashtbl.replace accepts key
-            ((o.Runner.obs_node, tau, tau_g, o.Runner.obs_rt)
-            :: Option.value ~default:[] (Hashtbl.find_opt accepts key))
-      | A.Obs_broadcaster { p; tau = _ } ->
-          let key = (o.Runner.obs_g, p) in
-          Hashtbl.replace detections key
-            ((o.Runner.obs_node, o.Runner.obs_rt)
-            :: Option.value ~default:[] (Hashtbl.find_opt detections key))
-      | A.Obs_iaccept _ | A.Obs_broadcast _ -> ())
-    res.Runner.observations;
+    (fun (e : Tr.entry) ->
+      match e.Tr.event with
+      | Tr.Broadcast { g; v; k; _ } -> push broadcasts (e.Tr.node, g) (v, k)
+      | Tr.Mb_accept { g; p; v; k; tau; tau_g } ->
+          push accepts (g, p, v, k) (e.Tr.node, tau, tau_g, e.Tr.time)
+      | Tr.Mb_broadcaster { g; p; _ } -> push detections (g, p) (e.Tr.node, e.Tr.time)
+      | _ -> ())
+    (Tr.to_list res.Runner.trace);
   (* TPS-2: accepted (p, v, k) with correct p => p broadcast (v, k) *)
   Hashtbl.iter
     (fun (g, p, v, k) _ ->
@@ -283,20 +282,10 @@ let check_tps (res : Runner.result) =
                   g p v k (List.length nodes)
                   (List.length res.Runner.correct)
                   (String.concat "," (List.map string_of_int missing)));
-            let phases =
-              List.filter_map
-                (fun (_, tau, tg, _) ->
-                  if Float.is_nan tg then None else Some ((tau -. tg) /. phi))
-                cluster
-            in
-            match phases with
-            | [] -> ()
-            | _ ->
-                if Metrics.maximum phases -. Metrics.minimum phases > 2.0 +. 1e-6
-                then
-                  complain "TPS-3: G=%d (%d, %S, %d) accepted %0.2f phases apart" g
-                    p v k
-                    (Metrics.maximum phases -. Metrics.minimum phases)
+            let phases = List.map (fun (_, tau, tg, _) -> (tau -. tg) /. phi) cluster in
+            if Metrics.maximum phases -. Metrics.minimum phases > 2.0 +. 1e-6 then
+              complain "TPS-3: G=%d (%d, %S, %d) accepted %0.2f phases apart" g p v k
+                (Metrics.maximum phases -. Metrics.minimum phases)
           end)
         (clusters accs))
     accepts;

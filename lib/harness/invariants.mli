@@ -1,6 +1,6 @@
 (** Primitive-level invariant monitor: validates the paper's §4/§5 property
-    statements event-by-event from a run's recorded observations
-    (enable [record_observations] in the scenario).
+    statements event-by-event from a run's trace (record {!kinds} through
+    [Scenario.record]).
 
     Monitored: [IA-1] (A–D, given the correct General's initiation time),
     [IA-3] (relay: one I-accept drags all correct nodes along within 2d,
@@ -11,6 +11,10 @@
     notation. *)
 
 open Ssba_core.Types
+
+(** The trace kinds the monitor reads: I-accepts, msgd-broadcast accepts,
+    broadcaster detections and the nodes' own decision broadcasts. *)
+val kinds : Ssba_sim.Trace.Kind.t list
 
 (** Check [IA-1A]–[IA-1D] for one General known to have initiated (correctly)
     at real time [t0]. Returns violation descriptions; empty means the

@@ -20,13 +20,6 @@ module Transport = Ssba_transport.Transport
 module Node = Ssba_core.Node
 module Params = Ssba_core.Params
 
-type observation = {
-  obs_node : node_id;
-  obs_g : general;
-  obs : Ssba_core.Ss_byz_agree.observation;
-  obs_rt : float;  (* engine real time at which the event fired *)
-}
-
 (* What became of a scheduled proposal, evaluated at its [at] time. A General
    that is Byzantine (or simply has no correct node) is [No_general] — not a
    protocol-level refusal, since no correct code ever ran. *)
@@ -38,7 +31,6 @@ type proposal_outcome =
 type result = {
   scenario : Scenario.t;
   returns : return_info list;  (* correct-node returns, in rt order *)
-  observations : observation list;  (* chronological; empty unless enabled *)
   correct : node_id list;
   clocks : Clock.t array;  (* indexed by node id; Byzantine entries too *)
   nodes : (node_id * Node.t) list;  (* the correct protocol nodes *)
@@ -243,7 +235,7 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
   let clock_rng = Rng.split root in
   let adv_rng = Rng.split root in
   let scramble_rng = Rng.split root in
-  let trace = Trace.create ~enabled:sc.Scenario.record_trace () in
+  let trace = Trace.create ~kinds:sc.Scenario.record () in
   let engine = Engine.create ~trace () in
   let iface =
     match sc.Scenario.transport with
@@ -257,7 +249,6 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
      link handler for their id). *)
   let nodes = ref [] in
   let returns = ref [] in
-  let observations = ref [] in
   (* Driver callbacks see every return, from initial and reformed nodes
      alike, so all node subscriptions funnel through one push function. *)
   let return_hooks = ref [] in
@@ -275,11 +266,6 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
             ~id ~params ~clock:clocks.(id) ~engine ~link:iface.link ()
         in
         Node.subscribe node push_return;
-        if sc.Scenario.record_observations then
-          Node.subscribe_observations node (fun g obs ->
-              observations :=
-                { obs_node = id; obs_g = g; obs; obs_rt = Engine.now engine }
-                :: !observations);
         nodes := (id, node) :: !nodes
     | Scenario.Byzantine _ -> ()
   done;
@@ -407,11 +393,6 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
                     ~clock:clocks.(node) ~engine ~link:iface.link ()
                 in
                 Node.subscribe nd push_return;
-                if sc.Scenario.record_observations then
-                  Node.subscribe_observations nd (fun g obs ->
-                      observations :=
-                        { obs_node = node; obs_g = g; obs; obs_rt = Engine.now engine }
-                        :: !observations);
                 live_nodes := !live_nodes @ [ (node, nd) ];
                 Engine.record engine ~node (Trace.Reform { node })
               end))
@@ -469,7 +450,6 @@ let run_with ?on_driver ~execute (sc : Scenario.t) =
     scenario = sc;
     returns =
       List.sort (fun a b -> compare a.rt_ret b.rt_ret) !returns;
-    observations = List.rev !observations;
     correct =
       List.sort compare
         (Scenario.correct_ids sc

@@ -4,13 +4,6 @@
 
 open Ssba_core.Types
 
-type observation = {
-  obs_node : node_id;
-  obs_g : general;  (** the (logical) General whose instance fired the event *)
-  obs : Ssba_core.Ss_byz_agree.observation;
-  obs_rt : float;  (** engine real time at which the event fired *)
-}
-
 (** What became of a scheduled proposal, evaluated at its [at] time.
     [No_general] means the target General is Byzantine or has no correct
     node, so no protocol code ran at all. *)
@@ -22,8 +15,6 @@ type proposal_outcome =
 type result = {
   scenario : Scenario.t;
   returns : return_info list;  (** correct-node returns, in rt order *)
-  observations : observation list;
-      (** chronological; empty unless [record_observations] was set *)
   correct : node_id list;
       (** ids running the correct protocol by the end of the run — the
           scenario's correct cast plus every node a [Reform] event rejoined *)
@@ -48,7 +39,7 @@ type result = {
           silent give-up *)
   metrics : Ssba_sim.Metrics.t;
       (** the engine's registry: [net.*], [engine.*], [node<i>.*] *)
-  trace : Ssba_sim.Trace.t;
+  trace : Ssba_sim.Trace.t;  (** holds the kinds [scenario.record] names *)
 }
 
 (** Hook handed to a scenario driver (e.g. the {!Ssba_service} loop) before

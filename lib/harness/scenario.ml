@@ -62,9 +62,7 @@ type t = {
   channels : int;
       (* concurrent-invocation channels per General (paper footnote 9);
          logical General ids range over [0, n * channels) *)
-  record_trace : bool;
-  record_observations : bool;
-      (* collect fine-grained protocol events for the invariant monitor *)
+  record : Ssba_sim.Trace.Kind.t list;  (* the trace kinds the run records *)
   transport : Ssba_transport.Transport.config option;
       (* run all protocol traffic through the reliable transport; params
          should then be built at Params.delta_eff for the worst persistent
@@ -133,8 +131,7 @@ let reformed_ids t =
        t.events)
 
 (* A sensible default: random delays within the bound, small drift. *)
-let default ?(name = "scenario") ?(seed = 1) ?(horizon = 5.0) ?(record_trace = false)
-    ?(record_observations = false) ?delay
+let default ?(name = "scenario") ?(seed = 1) ?(horizon = 5.0) ?(record = []) ?delay
     ?(clocks = Drifting { rho = 1e-4; max_offset = 0.1 }) ?(roles = [])
     ?(proposals = []) ?(events = []) ?transport ?(channels = 1)
     ?session_capacity ?(blackout = true) ?(admission = false) params =
@@ -156,8 +153,7 @@ let default ?(name = "scenario") ?(seed = 1) ?(horizon = 5.0) ?(record_trace = f
     events;
     horizon;
     channels;
-    record_trace;
-    record_observations;
+    record;
     transport;
     session_capacity;
     blackout;

@@ -69,9 +69,9 @@ type t = {
       (** concurrent-invocation channels per General (paper footnote 9):
           logical General ids range over [0, n * channels); the node hosting
           logical id [g] is [g mod n] *)
-  record_trace : bool;
-  record_observations : bool;
-      (** collect fine-grained protocol events for {!Invariants} *)
+  record : Ssba_sim.Trace.Kind.t list;
+      (** the trace kinds the run records ([\[\]] records nothing;
+          {!Invariants.kinds} feeds the invariant monitor) *)
   transport : Ssba_transport.Transport.config option;
       (** run all protocol traffic (correct nodes and behaviours) through the
           reliable transport; build [params] at {!Ssba_core.Params.delta_eff}
@@ -121,8 +121,7 @@ val default :
   ?name:string ->
   ?seed:int ->
   ?horizon:float ->
-  ?record_trace:bool ->
-  ?record_observations:bool ->
+  ?record:Ssba_sim.Trace.Kind.t list ->
   ?delay:Ssba_net.Delay.t ->
   ?clocks:clocks ->
   ?roles:(node_id * role) list ->

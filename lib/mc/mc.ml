@@ -106,7 +106,11 @@ let split_decisions (params : Params.t) returns =
 let execute (cfg : Config.t) ~por ~visited ~judge prefix =
   let params = cfg.Config.params in
   let n = params.Params.n in
-  let engine = Engine.create () in
+  let engine =
+    Engine.create
+      ~trace:(Ssba_sim.Trace.create ~kinds:(if judge then Invariants.kinds else []) ())
+      ()
+  in
   (* The network runs fault-free; its RNG streams are drawn but never decide
      anything (the delay override below bypasses the drawn delay). *)
   let net =
@@ -213,7 +217,6 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
      time ties by scheduling order, and counterexample replay through the
      Runner depends on reproducing it. *)
   let returns = ref [] in
-  let observations = ref [] in
   for id = 0 to n - 1 do
     if not (Config.is_byz cfg id) then begin
       let node =
@@ -222,10 +225,6 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
           ~link ()
       in
       Node.subscribe node (fun r -> returns := r :: !returns);
-      Node.subscribe_observations node (fun g obs ->
-          observations :=
-            { Runner.obs_node = id; obs_g = g; obs; obs_rt = Engine.now engine }
-            :: !observations);
       nodes := (id, node) :: !nodes
     end
   done;
@@ -289,8 +288,7 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
           events = [];
           horizon = cfg.Config.horizon;
           channels = 1;
-          record_trace = false;
-          record_observations = true;
+          record = Invariants.kinds;
           transport = None;
           session_capacity = cfg.Config.session_capacity;
           blackout = cfg.Config.blackout;
@@ -302,7 +300,6 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
           Runner.scenario;
           returns =
             List.sort (fun a b -> compare a.rt_ret b.rt_ret) !returns;
-          observations = List.rev !observations;
           correct = Config.correct_ids cfg;
           clocks = Array.init n (fun _ -> Clock.perfect);
           nodes = !nodes;

@@ -224,8 +224,7 @@ let trace_msg t payload =
 
 let count_dropped t ~src ~dst ~reason payload =
   Metrics.incr t.c_dropped;
-  let tr = Engine.trace t.engine in
-  if Trace.is_enabled tr then
+  if Trace.wants (Engine.trace t.engine) Trace.Kind.Drop then
     Engine.record t.engine ~node:(-1)
       (Trace.Drop { src; dst; msg = trace_msg t payload; reason })
 
@@ -241,8 +240,7 @@ let deliver t (m : 'a Msg.t) =
         m.Msg.payload
   | Some h ->
       Metrics.incr t.c_delivered;
-      let tr = Engine.trace t.engine in
-      if Trace.is_enabled tr then
+      if Trace.wants (Engine.trace t.engine) Trace.Kind.Deliver then
         Engine.record t.engine ~node:m.Msg.dst
           (Trace.Deliver
              { src = m.Msg.src; dst = m.Msg.dst; msg = trace_msg t m.Msg.payload });
@@ -373,7 +371,7 @@ let send_range t ~src ~first ~last payload =
   let count = ref 0 in
   for dst = first to last do
     count_sent t payload;
-    if Trace.is_enabled tr then
+    if Trace.wants tr Trace.Kind.Send then
       Engine.record t.engine ~node:src
         (Trace.Send { src; dst; msg = trace_msg t payload });
     let loss_roll = Rng.float t.loss_rng 1.0 in
@@ -416,7 +414,7 @@ let send_range t ~src ~first ~last payload =
            samples. The copy gets its own arena slot carrying the same
            envelope fields. *)
         Metrics.incr t.c_duplicated;
-        if Trace.is_enabled tr then
+        if Trace.wants tr Trace.Kind.Duplicate then
           Engine.record t.engine ~node:src
             (Trace.Duplicate { src; dst; msg = trace_msg t payload });
         let dup_delay = Delay.draw t.delay ~rng:t.dup_rng ~src ~dst ~now in

@@ -1,14 +1,58 @@
-(* Structured run traces.
+(* Structured run traces: the one event stream of a run.
 
-   Components record typed events (real-time, node, event); tests and the CLI
-   filter, pretty-print and export them. Recording can be disabled wholesale
-   for large benchmark runs, where the trace would dominate memory.
+   Components record typed events (real-time, node, event); tests, the CLI,
+   the invariant monitor and the fuzz oracle filter, pretty-print, export
+   and judge them. A trace records only the kinds its creator asked for: the
+   mask is one int, and emit sites test [wants] before building an event, so
+   a kind nobody records costs one branch and no allocation.
 
    Events carry their data *unformatted* — ints, floats and the strings that
    already exist (values, message-kind literals). Rendering to text happens
-   only in [pp]/[to_jsonl], so a disabled trace performs zero detail-string
-   allocations on the hot path; the [Ext] escape hatch defers rendering
-   behind a closure for the same reason. *)
+   only in [pp]/[to_jsonl]. *)
+
+module Kind = struct
+  type t =
+    | Send | Deliver | Drop | Propose | Ia_invoke | Ia_reject | Ia_skip
+    | I_accept | Anchor_set | Mb_accept | Mb_broadcaster | Broadcast
+    | Agree_return | Ig3_failure | Scramble | Reform | Delay_surge | Duplicate
+    | Retransmit | Dup_suppress | Retries_exhausted | Service_admit
+    | Service_shed | Service_queue | Service_mode | Session_evict | Eig_decide
+    | Tps_return
+
+  let all =
+    [
+      Send; Deliver; Drop; Propose; Ia_invoke; Ia_reject; Ia_skip; I_accept;
+      Anchor_set; Mb_accept; Mb_broadcaster; Broadcast; Agree_return;
+      Ig3_failure; Scramble; Reform; Delay_surge; Duplicate; Retransmit;
+      Dup_suppress; Retries_exhausted; Service_admit; Service_shed;
+      Service_queue; Service_mode; Session_evict; Eig_decide; Tps_return;
+    ]
+
+  (* Declaration order. The compiler turns this match into the identity on
+     the constructor's immediate, and inlining it into [wants] leaves a
+     constant mask test at every emit site. *)
+  let[@inline] index = function
+    | Send -> 0 | Deliver -> 1 | Drop -> 2 | Propose -> 3 | Ia_invoke -> 4
+    | Ia_reject -> 5 | Ia_skip -> 6 | I_accept -> 7 | Anchor_set -> 8
+    | Mb_accept -> 9 | Mb_broadcaster -> 10 | Broadcast -> 11
+    | Agree_return -> 12 | Ig3_failure -> 13 | Scramble -> 14 | Reform -> 15
+    | Delay_surge -> 16 | Duplicate -> 17 | Retransmit -> 18
+    | Dup_suppress -> 19 | Retries_exhausted -> 20 | Service_admit -> 21
+    | Service_shed -> 22 | Service_queue -> 23 | Service_mode -> 24
+    | Session_evict -> 25 | Eig_decide -> 26 | Tps_return -> 27
+
+  let names =
+    [|
+      "send"; "deliver"; "drop"; "propose"; "ia-invoke"; "ia-k1-reject";
+      "ia-n4-skip"; "i-accept"; "anchor-set"; "mb-accept"; "mb-broadcaster";
+      "broadcast"; "agree-return"; "ig3-failure"; "scramble"; "reform";
+      "delay-surge"; "duplicate"; "retransmit"; "dup-suppress";
+      "retries-exhausted"; "service-admit"; "service-shed"; "service-queue";
+      "service-mode"; "session-evict"; "eig-decide"; "tps-return";
+    |]
+
+  let name k = names.(index k)
+end
 
 type event =
   | Send of { src : int; dst : int; msg : string }
@@ -18,10 +62,11 @@ type event =
   | Ia_invoke of { g : int; v : string }
   | Ia_reject of { g : int; v : string }
   | Ia_skip of { g : int; reason : string }
-  | I_accept of { g : int; v : string; tau_g : float }
+  | I_accept of { g : int; v : string; tau_g : float; tau : float }
   | Anchor_set of { g : int; tau_g : float }
-  | Mb_accept of { g : int; p : int; v : string; k : int }
-  | Mb_broadcaster of { g : int; p : int; total : int }
+  | Mb_accept of { g : int; p : int; v : string; k : int; tau : float; tau_g : float }
+  | Mb_broadcaster of { g : int; p : int; total : int; tau : float }
+  | Broadcast of { g : int; v : string; k : int; tau : float }
   | Agree_return of { g : int; decided : string option; tau_g : float }
   | Ig3_failure of { g : int }
   | Scramble of { garbage : int }
@@ -47,37 +92,24 @@ type event =
       (* overload detector flipped the service mode *)
   | Session_evict of { g : int }
       (* a full session table dropped G's live session to make room *)
-  | Ext of { kind : string; render : unit -> string }
-      (* generic extension: layers without a dedicated constructor (baselines,
-         adversaries) tag an event and defer its rendering *)
+  | Eig_decide of { v : string }
+  | Tps_return of { decided : string option; phase : int }
 
-let kind_of_event = function
-  | Send _ -> "send"
-  | Deliver _ -> "deliver"
-  | Drop _ -> "drop"
-  | Propose _ -> "propose"
-  | Ia_invoke _ -> "ia-invoke"
-  | Ia_reject _ -> "ia-k1-reject"
-  | Ia_skip _ -> "ia-n4-skip"
-  | I_accept _ -> "i-accept"
-  | Anchor_set _ -> "anchor-set"
-  | Mb_accept _ -> "mb-accept"
-  | Mb_broadcaster _ -> "mb-broadcaster"
-  | Agree_return _ -> "agree-return"
-  | Ig3_failure _ -> "ig3-failure"
-  | Scramble _ -> "scramble"
-  | Reform _ -> "reform"
-  | Delay_surge _ -> "delay-surge"
-  | Duplicate _ -> "duplicate"
-  | Retransmit _ -> "retransmit"
-  | Dup_suppress _ -> "dup-suppress"
-  | Retries_exhausted _ -> "retries-exhausted"
-  | Service_admit _ -> "service-admit"
-  | Service_shed _ -> "service-shed"
-  | Service_queue _ -> "service-queue"
-  | Service_mode _ -> "service-mode"
-  | Session_evict _ -> "session-evict"
-  | Ext { kind; _ } -> kind
+let kind : event -> Kind.t = function
+  | Send _ -> Send | Deliver _ -> Deliver | Drop _ -> Drop | Propose _ -> Propose
+  | Ia_invoke _ -> Ia_invoke | Ia_reject _ -> Ia_reject | Ia_skip _ -> Ia_skip
+  | I_accept _ -> I_accept | Anchor_set _ -> Anchor_set | Mb_accept _ -> Mb_accept
+  | Mb_broadcaster _ -> Mb_broadcaster | Broadcast _ -> Broadcast
+  | Agree_return _ -> Agree_return | Ig3_failure _ -> Ig3_failure
+  | Scramble _ -> Scramble | Reform _ -> Reform | Delay_surge _ -> Delay_surge
+  | Duplicate _ -> Duplicate | Retransmit _ -> Retransmit
+  | Dup_suppress _ -> Dup_suppress | Retries_exhausted _ -> Retries_exhausted
+  | Service_admit _ -> Service_admit | Service_shed _ -> Service_shed
+  | Service_queue _ -> Service_queue | Service_mode _ -> Service_mode
+  | Session_evict _ -> Session_evict | Eig_decide _ -> Eig_decide
+  | Tps_return _ -> Tps_return
+
+let kind_of_event e = Kind.name (kind e)
 
 (* The only place event data is turned into text. *)
 let detail_of_event = function
@@ -88,11 +120,14 @@ let detail_of_event = function
   | Propose { g; v } | Ia_invoke { g; v } | Ia_reject { g; v } ->
       Printf.sprintf "G=%d v=%S" g v
   | Ia_skip { g; reason } -> Printf.sprintf "G=%d %s" g reason
-  | I_accept { g; v; tau_g } -> Printf.sprintf "G=%d v=%S tauG=%.6f" g v tau_g
+  | I_accept { g; v; tau_g; tau } ->
+      Printf.sprintf "G=%d v=%S tauG=%.6f tau=%.6f" g v tau_g tau
   | Anchor_set { g; tau_g } -> Printf.sprintf "G=%d tauG=%.6f" g tau_g
-  | Mb_accept { g; p; v; k } -> Printf.sprintf "G=%d p=%d v=%S k=%d" g p v k
-  | Mb_broadcaster { g; p; total } ->
-      Printf.sprintf "G=%d p=%d (total %d)" g p total
+  | Mb_accept { g; p; v; k; tau; tau_g } ->
+      Printf.sprintf "G=%d p=%d v=%S k=%d tauG=%.6f tau=%.6f" g p v k tau_g tau
+  | Mb_broadcaster { g; p; total; tau } ->
+      Printf.sprintf "G=%d p=%d (total %d) tau=%.6f" g p total tau
+  | Broadcast { g; v; k; tau } -> Printf.sprintf "G=%d v=%S k=%d tau=%.6f" g v k tau
   | Agree_return { g; decided = Some v; tau_g } ->
       Printf.sprintf "G=%d decided %S tauG=%.6f" g v tau_g
   | Agree_return { g; decided = None; tau_g } ->
@@ -116,16 +151,12 @@ let detail_of_event = function
   | Service_mode { degraded; live } ->
       Printf.sprintf "%s live=%d" (if degraded then "degraded" else "normal") live
   | Session_evict { g } -> Printf.sprintf "G=%d" g
-  | Ext { render; _ } -> render ()
+  | Eig_decide { v } -> Printf.sprintf "decided %S" v
+  | Tps_return { decided = Some v; phase } ->
+      Printf.sprintf "decided %S at phase %d" v phase
+  | Tps_return { decided = None; phase } -> Printf.sprintf "aborted at phase %d" phase
 
-(* Structural equality; [Ext] compares by kind and rendered detail (its
-   closure has no useful identity). Used by the JSONL round-trip tests. *)
-let equal_event a b =
-  match (a, b) with
-  | Ext { kind = ka; render = ra }, Ext { kind = kb; render = rb } ->
-      String.equal ka kb && String.equal (ra ()) (rb ())
-  | Ext _, _ | _, Ext _ -> false
-  | a, b -> a = b
+let equal_event (a : event) b = a = b
 
 type entry = { time : float; node : int; event : event }
 
@@ -135,16 +166,18 @@ let entry_detail e = detail_of_event e.event
 let equal_entry a b =
   Float.equal a.time b.time && a.node = b.node && equal_event a.event b.event
 
-type t = { mutable entries : entry list; mutable enabled : bool; mutable count : int }
+type t = { mutable entries : entry list; mask : int; mutable count : int }
 
-let create ?(enabled = true) () = { entries = []; enabled; count = 0 }
+let[@inline] bit k = 1 lsl Kind.index k
 
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
-let is_enabled t = t.enabled
+let create ?(enabled = true) ?kinds () =
+  let kinds = match kinds with Some ks -> ks | None -> if enabled then Kind.all else [] in
+  { entries = []; mask = List.fold_left (fun m k -> m lor bit k) 0 kinds; count = 0 }
+
+let[@inline] wants t k = t.mask land bit k <> 0
 
 let record t ~time ~node event =
-  if t.enabled then begin
+  if wants t (kind event) then begin
     t.entries <- { time; node; event } :: t.entries;
     t.count <- t.count + 1
   end
@@ -176,6 +209,7 @@ let pp ppf t =
 (* ----- JSONL export / import ------------------------------------------- *)
 
 let i x = Json.Num (float_of_int x)
+let json_of_decided = function Some v -> Json.Str v | None -> Json.Null
 
 let fields_of_event = function
   | Send { src; dst; msg } | Deliver { src; dst; msg } ->
@@ -185,18 +219,20 @@ let fields_of_event = function
   | Propose { g; v } | Ia_invoke { g; v } | Ia_reject { g; v } ->
       [ ("g", i g); ("v", Json.Str v) ]
   | Ia_skip { g; reason } -> [ ("g", i g); ("reason", Json.Str reason) ]
-  | I_accept { g; v; tau_g } ->
-      [ ("g", i g); ("v", Json.Str v); ("tau_g", Json.Num tau_g) ]
+  | I_accept { g; v; tau_g; tau } ->
+      [ ("g", i g); ("v", Json.Str v); ("tau_g", Json.Num tau_g); ("tau", Json.Num tau) ]
   | Anchor_set { g; tau_g } -> [ ("g", i g); ("tau_g", Json.Num tau_g) ]
-  | Mb_accept { g; p; v; k } ->
-      [ ("g", i g); ("p", i p); ("v", Json.Str v); ("k", i k) ]
-  | Mb_broadcaster { g; p; total } -> [ ("g", i g); ("p", i p); ("total", i total) ]
-  | Agree_return { g; decided; tau_g } ->
+  | Mb_accept { g; p; v; k; tau; tau_g } ->
       [
-        ("g", i g);
-        ("decided", match decided with Some v -> Json.Str v | None -> Json.Null);
-        ("tau_g", Json.Num tau_g);
+        ("g", i g); ("p", i p); ("v", Json.Str v); ("k", i k);
+        ("tau", Json.Num tau); ("tau_g", Json.Num tau_g);
       ]
+  | Mb_broadcaster { g; p; total; tau } ->
+      [ ("g", i g); ("p", i p); ("total", i total); ("tau", Json.Num tau) ]
+  | Broadcast { g; v; k; tau } ->
+      [ ("g", i g); ("v", Json.Str v); ("k", i k); ("tau", Json.Num tau) ]
+  | Agree_return { g; decided; tau_g } ->
+      [ ("g", i g); ("decided", json_of_decided decided); ("tau_g", Json.Num tau_g) ]
   | Ig3_failure { g } -> [ ("g", i g) ]
   | Scramble { garbage } -> [ ("garbage", i garbage) ]
   | Reform { node } -> [ ("reformed", i node) ]
@@ -215,7 +251,9 @@ let fields_of_event = function
   | Service_mode { degraded; live } ->
       [ ("degraded", Json.Bool degraded); ("live", i live) ]
   | Session_evict { g } -> [ ("g", i g) ]
-  | Ext { render; _ } -> [ ("detail", Json.Str (render ())) ]
+  | Eig_decide { v } -> [ ("v", Json.Str v) ]
+  | Tps_return { decided; phase } ->
+      [ ("decided", json_of_decided decided); ("phase", i phase) ]
 
 let json_of_entry e =
   Json.Obj
@@ -236,6 +274,12 @@ let event_of_json ~kind j =
   let gi = req Json.to_int_opt in
   let gs = req Json.to_string_opt in
   let gf = req Json.to_float_opt in
+  let decided () =
+    match get "decided" with
+    | Some (Json.Str v) -> Some v
+    | Some Json.Null | None -> None
+    | Some _ -> raise (Import_error "bad decided field")
+  in
   match kind with
   | "send" -> Send { src = gi "src"; dst = gi "dst"; msg = gs "msg" }
   | "deliver" -> Deliver { src = gi "src"; dst = gi "dst"; msg = gs "msg" }
@@ -245,22 +289,15 @@ let event_of_json ~kind j =
   | "ia-invoke" -> Ia_invoke { g = gi "g"; v = gs "v" }
   | "ia-k1-reject" -> Ia_reject { g = gi "g"; v = gs "v" }
   | "ia-n4-skip" -> Ia_skip { g = gi "g"; reason = gs "reason" }
-  | "i-accept" -> I_accept { g = gi "g"; v = gs "v"; tau_g = gf "tau_g" }
+  | "i-accept" -> I_accept { g = gi "g"; v = gs "v"; tau_g = gf "tau_g"; tau = gf "tau" }
   | "anchor-set" -> Anchor_set { g = gi "g"; tau_g = gf "tau_g" }
-  | "mb-accept" -> Mb_accept { g = gi "g"; p = gi "p"; v = gs "v"; k = gi "k" }
+  | "mb-accept" ->
+      Mb_accept
+        { g = gi "g"; p = gi "p"; v = gs "v"; k = gi "k"; tau = gf "tau"; tau_g = gf "tau_g" }
   | "mb-broadcaster" ->
-      Mb_broadcaster { g = gi "g"; p = gi "p"; total = gi "total" }
-  | "agree-return" ->
-      Agree_return
-        {
-          g = gi "g";
-          decided =
-            (match get "decided" with
-            | Some (Json.Str v) -> Some v
-            | Some Json.Null | None -> None
-            | Some _ -> raise (Import_error "bad decided field"));
-          tau_g = gf "tau_g";
-        }
+      Mb_broadcaster { g = gi "g"; p = gi "p"; total = gi "total"; tau = gf "tau" }
+  | "broadcast" -> Broadcast { g = gi "g"; v = gs "v"; k = gi "k"; tau = gf "tau" }
+  | "agree-return" -> Agree_return { g = gi "g"; decided = decided (); tau_g = gf "tau_g" }
   | "ig3-failure" -> Ig3_failure { g = gi "g" }
   | "scramble" -> Scramble { garbage = gi "garbage" }
   | "reform" -> Reform { node = gi "reformed" }
@@ -287,13 +324,9 @@ let event_of_json ~kind j =
           live = gi "live";
         }
   | "session-evict" -> Session_evict { g = gi "g" }
-  | kind ->
-      let detail =
-        match Option.bind (get "detail") Json.to_string_opt with
-        | Some d -> d
-        | None -> ""
-      in
-      Ext { kind; render = (fun () -> detail) }
+  | "eig-decide" -> Eig_decide { v = gs "v" }
+  | "tps-return" -> Tps_return { decided = decided (); phase = gi "phase" }
+  | kind -> raise (Import_error (Printf.sprintf "unknown kind %S" kind))
 
 let entry_of_json j =
   let req to_x name =

@@ -110,8 +110,7 @@ let rec arm_timer t ~src ~dst (e : 'a entry) ~delay =
                its digest-visible meaning; this counter and the trace event
                are observability-only. *)
             Metrics.incr t.c_retries_exhausted;
-            let tr = Engine.trace t.engine in
-            if Trace.is_enabled tr then
+            if Trace.wants (Engine.trace t.engine) Trace.Kind.Retries_exhausted then
               Engine.record t.engine ~node:src
                 (Trace.Retries_exhausted
                    {
@@ -124,8 +123,7 @@ let rec arm_timer t ~src ~dst (e : 'a entry) ~delay =
           else begin
             e.attempt <- e.attempt + 1;
             Metrics.incr t.c_retransmits;
-            let tr = Engine.trace t.engine in
-            if Trace.is_enabled tr then
+            if Trace.wants (Engine.trace t.engine) Trace.Kind.Retransmit then
               Engine.record t.engine ~node:src
                 (Trace.Retransmit
                    {
@@ -179,8 +177,7 @@ let on_frame t node (m : 'a frame Msg.t) =
       let slot = (seq land max_int) mod t.cfg.dedup in
       if ring.(slot) = seq then begin
         Metrics.incr t.c_dup_suppressed;
-        let tr = Engine.trace t.engine in
-        if Trace.is_enabled tr then
+        if Trace.wants (Engine.trace t.engine) Trace.Kind.Dup_suppress then
           Engine.record t.engine ~node
             (Trace.Dup_suppress { src = peer; dst = node; seq })
       end

@@ -2,8 +2,9 @@
 
    [Fake] provides a synthetic execution context for unit-testing the
    protocol state machines in isolation: a controllable local clock, a log of
-   sent messages, and a timer queue fired by [advance]. [Cluster] builds a
-   complete small simulation for integration tests. *)
+   sent messages, a trace recording every kind, and a timer queue fired by
+   [advance]. [Cluster] builds a complete small simulation for integration
+   tests. *)
 
 open Ssba_core
 
@@ -12,12 +13,12 @@ module Fake = struct
     mutable now : float;
     mutable sent : (float * Types.message) list;  (* newest first *)
     mutable timers : (float * (unit -> unit)) list;
-    mutable traced : Ssba_sim.Trace.event list;  (* newest first *)
+    trace : Ssba_sim.Trace.t;
     params : Params.t;
   }
 
   let make ?(self = 0) ?(now = 100.0) params =
-    let t = { now; sent = []; timers = []; traced = []; params } in
+    let t = { now; sent = []; timers = []; trace = Ssba_sim.Trace.create (); params } in
     let ctx =
       {
         Types.params;
@@ -28,7 +29,8 @@ module Fake = struct
           (fun dl f ->
             if dl < 0.0 then invalid_arg "fake after_local: negative";
             t.timers <- (t.now +. dl, f) :: t.timers);
-        trace = (fun ev -> t.traced <- ev :: t.traced);
+        trace = t.trace;
+        record = (fun ev -> Ssba_sim.Trace.record t.trace ~time:t.now ~node:self ev);
       }
     in
     (t, ctx)

@@ -499,6 +499,38 @@ let test_service_drain_sensitivity () =
              String.equal f.F.Oracle.oracle "service-drain")
            report.F.Oracle.failures)
 
+(* Oracle.run records only what it judges. A service spec's trace holds the
+   four service kinds and no per-message or protocol entries; a calm
+   service-free spec's holds exactly the invariant monitor's kinds. *)
+let test_oracle_retains_judged_kinds () =
+  let module Tr = Ssba_sim.Trace in
+  let retained spec =
+    let res, _ = F.Oracle.run spec in
+    Tr.to_list res.Ssba_harness.Runner.trace
+  in
+  let kinds entries = List.sort_uniq compare (List.map Tr.entry_kind entries) in
+  let svc =
+    retained (F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.overload_config 0)
+  in
+  check_bool "the service spec retains entries" true (svc <> []);
+  List.iter
+    (fun k ->
+      check_bool (k ^ " is a service kind") true
+        (List.mem k [ "service-mode"; "service-queue"; "service-shed"; "session-evict" ]))
+    (kinds svc);
+  List.iter
+    (fun k ->
+      check_int (k ^ " entries") 0
+        (List.length (List.filter (fun e -> Tr.entry_kind e = k) svc)))
+    [ "send"; "deliver"; "retransmit"; "mb-accept"; "mb-broadcaster" ];
+  let rec calm i =
+    let spec = F.Campaign.spec_of_iteration ~seed:42 ~gen:F.Gen.default_config i in
+    if spec.F.Spec.events = [] && spec.F.Spec.service = None then spec else calm (i + 1)
+  in
+  check_bool "a calm spec retains exactly the monitor's kinds" true
+    (kinds (retained (calm 0))
+    = List.sort compare (List.map Tr.Kind.name Ssba_harness.Invariants.kinds))
+
 let test_campaign_deterministic () =
   let s1 = F.Campaign.run { smoke_config with F.Campaign.runs = 15 } in
   let s2 = F.Campaign.run { smoke_config with F.Campaign.runs = 15 } in
@@ -586,4 +618,5 @@ let suite =
       test_shrink_offers_service_reductions;
     slow_case "drain oracle fires on a starved service spec"
       test_service_drain_sensitivity;
+    case "oracle retains only the kinds it judges" test_oracle_retains_judged_kinds;
   ]

@@ -1,38 +1,36 @@
 (* Tests for the primitive-level invariant monitor (IA-*/TPS-* properties
-   checked from recorded observations). *)
+   checked from the protocol kinds of a run's trace). *)
 
 open Helpers
 open Ssba_core
 module H = Ssba_harness
+module Tr = Ssba_sim.Trace
 
 let run ?(n = 7) ?(seed = 41) ?(roles = []) ?(proposals = []) ?(horizon = 1.0) () =
   let params = Params.default n in
   let sc =
     H.Scenario.default ~name:"inv" ~seed ~roles ~proposals ~horizon
-      ~record_observations:true params
+      ~record:H.Invariants.kinds params
   in
   H.Runner.run sc
 
+let count_kind (res : H.Runner.result) k =
+  List.length
+    (List.filter (fun (e : Tr.entry) -> Tr.kind e.Tr.event = k) (Tr.to_list res.H.Runner.trace))
+
+(* [res] with its trace replaced by [entries], in that order: how the
+   sensitivity tests below splice forged events into a real run. *)
+let with_entries (res : H.Runner.result) entries =
+  let tr = Tr.create ~kinds:H.Invariants.kinds () in
+  List.iter (fun (e : Tr.entry) -> Tr.record tr ~time:e.Tr.time ~node:e.Tr.node e.Tr.event) entries;
+  { res with H.Runner.trace = tr }
+
 let test_observations_recorded () =
   let res = run ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ] () in
-  let iaccepts =
-    List.filter
-      (fun (o : H.Runner.observation) ->
-        match o.H.Runner.obs with
-        | Ss_byz_agree.Obs_iaccept _ -> true
-        | _ -> false)
-      res.H.Runner.observations
-  in
-  check_int "one I-accept per node" 7 (List.length iaccepts);
-  let broadcasts =
-    List.filter
-      (fun (o : H.Runner.observation) ->
-        match o.H.Runner.obs with
-        | Ss_byz_agree.Obs_broadcast _ -> true
-        | _ -> false)
-      res.H.Runner.observations
-  in
-  check_int "one decision broadcast per node" 7 (List.length broadcasts)
+  check_int "one I-accept per node" 7 (count_kind res Tr.Kind.I_accept);
+  check_int "one decision broadcast per node" 7 (count_kind res Tr.Kind.Broadcast);
+  check_int "only the monitor's kinds" (Tr.count res.H.Runner.trace)
+    (List.fold_left (fun acc k -> acc + count_kind res k) 0 H.Invariants.kinds)
 
 let test_observations_off_by_default () =
   let params = Params.default 7 in
@@ -42,8 +40,7 @@ let test_observations_off_by_default () =
       ~horizon:1.0 params
   in
   let res = H.Runner.run sc in
-  check_int "no observations unless requested" 0
-    (List.length res.H.Runner.observations)
+  check_int "no trace entries unless requested" 0 (Tr.count res.H.Runner.trace)
 
 let test_ia1_correct_general () =
   let res = run ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ] () in
@@ -103,29 +100,27 @@ let test_invariants_recurrent () =
   | vs -> Alcotest.failf "violations: %s" (String.concat "; " vs)
 
 let test_monitor_detects_forged_divergence () =
-  (* splice a fake I-accept with a conflicting value into the observations
-     and confirm IA-4 trips — guards against the monitor silently passing
+  (* splice a fake I-accept with a conflicting value into the trace and
+     confirm IA-4 trips — guards against the monitor silently passing
      everything *)
   let res = run ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ] () in
+  let entries = Tr.to_list res.H.Runner.trace in
   let sample =
     List.find
-      (fun (o : H.Runner.observation) ->
-        match o.H.Runner.obs with Ss_byz_agree.Obs_iaccept _ -> true | _ -> false)
-      res.H.Runner.observations
+      (fun (e : Tr.entry) -> match e.Tr.event with Tr.I_accept _ -> true | _ -> false)
+      entries
   in
   let forged =
-    match sample.H.Runner.obs with
-    | Ss_byz_agree.Obs_iaccept { tau_g; tau; _ } ->
+    match sample.Tr.event with
+    | Tr.I_accept ia ->
         {
           sample with
-          H.Runner.obs_node = (sample.H.Runner.obs_node + 1) mod 7;
-          obs = Ss_byz_agree.Obs_iaccept { v = "other"; tau_g; tau };
+          Tr.node = (sample.Tr.node + 1) mod 7;
+          event = Tr.I_accept { ia with v = "other" };
         }
     | _ -> assert false
   in
-  let res' =
-    { res with H.Runner.observations = forged :: res.H.Runner.observations }
-  in
+  let res' = with_entries res (forged :: entries) in
   check_bool "forged divergent I-accept detected" true
     (H.Invariants.check_ia_3_4 res' <> [])
 
@@ -134,13 +129,12 @@ let test_monitor_detects_unforgeability_break () =
   let res = run ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ] () in
   let fake =
     {
-      H.Runner.obs_node = 2;
-      obs_g = 0;
-      obs = Ss_byz_agree.Obs_mb_accept { p = 3; v = "never-sent"; k = 1; tau = 0.1; tau_g = 0.09 };
-      obs_rt = 0.06;
+      Tr.time = 0.06;
+      node = 2;
+      event = Tr.Mb_accept { g = 0; p = 3; v = "never-sent"; k = 1; tau = 0.1; tau_g = 0.09 };
     }
   in
-  let res' = { res with H.Runner.observations = fake :: res.H.Runner.observations } in
+  let res' = with_entries res (fake :: Tr.to_list res.H.Runner.trace) in
   check_bool "TPS-2 forgery detected" true
     (List.exists
        (fun s -> String.length s >= 5 && String.sub s 0 5 = "TPS-2")
@@ -160,7 +154,7 @@ let run_perfect () =
   let sc =
     H.Scenario.default ~name:"inv" ~seed:41 ~clocks:H.Scenario.Perfect
       ~proposals:[ { H.Scenario.g = 0; v = "m"; at = 0.05 } ]
-      ~horizon:1.0 ~record_observations:true params
+      ~horizon:1.0 ~record:H.Invariants.kinds params
   in
   (params, H.Runner.run sc)
 
@@ -175,16 +169,13 @@ let test_monitor_session_keying_sensitivity () =
     List.map
       (fun node ->
         {
-          H.Runner.obs_node = node;
-          obs_g = 5;
-          obs = Ss_byz_agree.Obs_iaccept { v; tau_g = anchor; tau = anchor +. d };
-          obs_rt = anchor +. d;
+          Tr.time = anchor +. d;
+          node;
+          event = Tr.I_accept { g = 5; v; tau_g = anchor; tau = anchor +. d };
         })
       (List.init 7 Fun.id)
   in
-  let with_obs obs =
-    { res with H.Runner.observations = res.H.Runner.observations @ obs }
-  in
+  let with_obs obs = with_entries res (Tr.to_list res.H.Runner.trace @ obs) in
   (* cross-session conflation: anchors 3d apart are ONE session; two values
      inside it are a uniqueness violation, not two excusable executions *)
   let conflated =

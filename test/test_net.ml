@@ -206,6 +206,38 @@ let test_trace_events () =
     (List.length (Ssba_sim.Trace.filter ~kind:"deliver" tr));
   check_int "drop events" 1 (List.length (Ssba_sim.Trace.filter ~kind:"drop" tr))
 
+(* The zero-allocation contract (DESIGN §6): a kind the trace does not
+   record costs nothing on the send/deliver path. 10k sends and their
+   deliveries allocate exactly as much under a trace recording every other
+   kind as under one recording nothing — and measurably more once send and
+   deliver are recorded, so the measurement can see a difference. *)
+let test_untraced_kinds_allocate_nothing () =
+  let module Tr = Ssba_sim.Trace in
+  let words tr =
+    let engine = Engine.create ~trace:tr () in
+    let net =
+      Net.create ~engine ~n:2 ~delay:(Delay.fixed 0.01) ~rng:(Rng.create 1)
+        ~kind_of:(fun s -> s) ()
+    in
+    Net.set_handler net 1 (fun _ -> ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Net.send net ~src:0 ~dst:1 "echo"
+    done;
+    ignore (Engine.run engine);
+    Gc.minor_words () -. w0
+  in
+  let others =
+    Tr.create
+      ~kinds:(List.filter (fun k -> k <> Tr.Kind.Send && k <> Tr.Kind.Deliver) Tr.Kind.all)
+      ()
+  in
+  let off = words (Tr.create ~enabled:false ()) in
+  check_float "no extra minor words" off (words others);
+  check_int "nothing recorded" 0 (Tr.count others);
+  check_bool "recording send/deliver does allocate" true
+    (words (Tr.create ()) > off +. 10_000.0)
+
 let test_duplicate () =
   let engine, net = mk () in
   let got = ref 0 in
@@ -348,6 +380,7 @@ let suite =
     case "bad destination" test_bad_destination;
     case "metrics registry feed" test_metrics_registry_feed;
     case "trace events" test_trace_events;
+    case "untraced kinds allocate nothing" test_untraced_kinds_allocate_nothing;
     case "duplicate injection" test_duplicate;
     case "reorder injection" test_reorder;
     case "per-concern rng streams" test_rng_streams_independent;
