@@ -15,11 +15,13 @@
    judged exactly once — at the shortest prefix that determines it, i.e. the
    prefix with no trailing default choices.
 
-   The visited set holds a canonical fingerprint of the whole world at each
-   first-beyond-prefix choice point: every Node's protocol state
+   The visited set holds a canonical fingerprint of the whole world at the
+   first choice point past the prefix: every Node's protocol state
    (Node.fingerprint), the engine clock, the undelivered message set and the
    pending decision. Reaching a fingerprinted state again prunes the entire
    subtree — the default continuation from an identical state is identical.
+   That is the only fingerprint the visited set reads, so it is the only one
+   a run computes: prefix choice points just take their pick.
 
    Partial-order reduction (por): (a) deliveries to Byzantine nodes never
    branch — the scripts are time-triggered and input-oblivious, so those
@@ -52,7 +54,6 @@ type choice = { c_label : string; c_options : int; c_picked : int }
 type run = {
   prefix : int array;
   choices : choice list;  (* fresh choice points, in execution order *)
-  fingerprints : string list;  (* world fingerprint at each fresh choice *)
   next : (string * int * string) option;
       (* fingerprint, option count and label of the first choice point beyond
          the prefix; [None] when the run branched nowhere new *)
@@ -65,7 +66,107 @@ type run = {
   events : int;
 }
 
-let string_of_message m = Fmt.str "%a" pp_message m
+(* ----- the undelivered-message set ------------------------------------ *)
+
+(* In-flight messages in send order: an append-only array whose delivered
+   entries become tombstones. Deliveries mostly take the oldest live entry,
+   so the scan that removes one is short, and the array restarts from slot 0
+   whenever the set drains. *)
+module In_flight = struct
+  (* Field order is the canonical sort key: polymorphic [compare] on live
+     entries orders by (at, src, dst, msg). *)
+  type entry = {
+    at : float;  (* scheduled delivery time *)
+    src : node_id;
+    dst : node_id;
+    msg : message;
+    mutable live : bool;
+  }
+
+  type t = {
+    mutable items : entry array;
+    mutable len : int;
+    mutable head : int;  (* oldest live entry; [head = len = 0] when empty *)
+  }
+
+  let create () = { items = [||]; len = 0; head = 0 }
+
+  let add t ~at ~src ~dst msg =
+    let e = { at; src; dst; msg; live = true } in
+    if t.len = Array.length t.items then begin
+      let items = Array.make (max 64 (2 * t.len)) e in
+      Array.blit t.items 0 items 0 t.len;
+      t.items <- items
+    end;
+    t.items.(t.len) <- e;
+    t.len <- t.len + 1
+
+  (* Remove the oldest live entry on [(at, src, dst)], if any. *)
+  let remove t ~at ~src ~dst =
+    let rec find i =
+      if i < t.len then begin
+        let e = t.items.(i) in
+        if e.live && e.src = src && e.dst = dst && e.at = at then
+          e.live <- false
+        else find (i + 1)
+      end
+    in
+    find t.head;
+    while t.head < t.len && not t.items.(t.head).live do
+      t.head <- t.head + 1
+    done;
+    if t.head = t.len then begin
+      t.head <- 0;
+      t.len <- 0
+    end
+
+  (* Live entries in send order. *)
+  let to_list t =
+    let acc = ref [] in
+    for i = t.len - 1 downto t.head do
+      let e = t.items.(i) in
+      if e.live then acc := e :: !acc
+    done;
+    !acc
+
+  (* An injective encoding: fixed-width time bits, delimited ints, and a
+     length-prefixed value string. *)
+  let add_int buf i =
+    Buffer.add_string buf (string_of_int i);
+    Buffer.add_char buf ','
+
+  let add_entry buf e =
+    Buffer.add_string buf "m[";
+    Buffer.add_int64_le buf (Int64.bits_of_float e.at);
+    add_int buf e.src;
+    add_int buf e.dst;
+    let v =
+      match e.msg with
+      | Initiator { g; v } ->
+          Buffer.add_char buf 'I';
+          add_int buf g;
+          v
+      | Ia { kind; g; v } ->
+          Buffer.add_char buf
+            (match kind with Support -> 's' | Approve -> 'a' | Ready -> 'r');
+          add_int buf g;
+          v
+      | Mb { kind; p; g; v; k } ->
+          Buffer.add_char buf
+            (match kind with
+            | Init -> 'i'
+            | Echo -> 'e'
+            | Init2 -> 'j'
+            | Echo2 -> 'f');
+          add_int buf p;
+          add_int buf g;
+          add_int buf k;
+          v
+    in
+    add_int buf (String.length v);
+    Buffer.add_string buf v;
+    Buffer.add_char buf ']'
+end
 
 (* ----- one run ---------------------------------------------------------- *)
 
@@ -118,54 +219,51 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
       ~rng:(Rng.create 1) ~kind_of:kind_of_message ()
   in
   let nodes : (node_id * Node.t) list ref = ref [] in
-  let in_flight : (float * node_id * node_id * message) list ref = ref [] in
+  let in_flight = In_flight.create () in
   let pos = ref 0 in
   let groups : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let choices = ref [] in
-  let fps = ref [] in
   let next = ref None in
   let pruned = ref false in
-  let world_fingerprint pending =
+  let world_fingerprint label n_options =
     let buf = Buffer.create 2048 in
     Printf.bprintf buf "t=%h;" (Engine.now engine);
     List.iter (fun (_, node) -> Node.fingerprint buf node) !nodes;
-    let entries = if por then List.sort compare !in_flight else !in_flight in
-    List.iter
-      (fun (at, src, dst, m) ->
-        Printf.bprintf buf "m[%h,%d>%d,%s]" at src dst (string_of_message m))
-      entries;
-    Buffer.add_string buf pending;
+    let entries = In_flight.to_list in_flight in
+    List.iter (In_flight.add_entry buf)
+      (if por then List.sort compare entries else entries);
+    Buffer.add_char buf '?';
+    Buffer.add_string buf label;
+    Buffer.add_char buf '/';
+    Buffer.add_string buf (string_of_int n_options);
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let choose ~label ?group n_options =
+  (* A choice point: the prefix decides it, else option 0. The first one past
+     the prefix is the run's [next], the only state the visited set reads, so
+     it alone is fingerprinted. *)
+  let choose ~label n_options =
     if n_options <= 1 then 0
     else
-      match
-        match group with Some key -> Hashtbl.find_opt groups key | None -> None
-      with
-      | Some k -> k  (* the class already drew its choice this run *)
-      | None ->
-          let fp = world_fingerprint (Fmt.str "?%s/%d" label n_options) in
-          fps := fp :: !fps;
-          let pick =
-            if !pos < Array.length prefix then prefix.(!pos)
-            else begin
-              (if !next = None then begin
-                 next := Some (fp, n_options, label);
-                 if Hashtbl.mem visited fp then begin
-                   (* identical world, identical default continuation: the
-                      subtree (and this run's tail) is redundant *)
-                   pruned := true;
-                   Engine.stop engine
-                 end
-               end);
-              0
-            end
-          in
-          incr pos;
-          (match group with Some key -> Hashtbl.add groups key pick | None -> ());
-          choices := { c_label = label; c_options = n_options; c_picked = pick } :: !choices;
-          pick
+      let pick =
+        if !pos < Array.length prefix then prefix.(!pos)
+        else begin
+          (if !next = None then begin
+             let fp = world_fingerprint label n_options in
+             next := Some (fp, n_options, label);
+             if Hashtbl.mem visited fp then begin
+               (* identical world, identical default continuation: the
+                  subtree (and this run's tail) is redundant *)
+               pruned := true;
+               Engine.stop engine
+             end
+           end);
+          0
+        end
+      in
+      incr pos;
+      choices :=
+        { c_label = label; c_options = n_options; c_picked = pick } :: !choices;
+      pick
   in
   let sends = ref [] in
   Network.set_delay_override net
@@ -181,11 +279,19 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
            | Some key ->
                let lattice = Config.lattice_for cfg key in
                let k =
-                 choose ~label:("d:" ^ key) ~group:key (Array.length lattice)
+                 match Hashtbl.find_opt groups key with
+                 | Some k -> k  (* the class already drew its choice this run *)
+                 | None ->
+                     let k =
+                       choose ~label:("d:" ^ key) (Array.length lattice)
+                     in
+                     Hashtbl.add groups key k;
+                     k
                in
                lattice.(k)
          in
-         in_flight := !in_flight @ [ (Engine.now engine +. delay, src, dst, payload) ];
+         In_flight.add in_flight ~at:(Engine.now engine +. delay) ~src ~dst
+           payload;
          sends := ((src, dst), delay) :: !sends;
          Some delay))
     ;
@@ -193,22 +299,14 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
      the scheduled time is exact because the engine replays the very float it
      computed at send time. *)
   let base = Network.link net in
-  let untrack ~src ~dst =
-    let now = Engine.now engine in
-    let rec remove = function
-      | [] -> []
-      | (at, s, d, _) :: rest when s = src && d = dst && at = now -> rest
-      | e :: rest -> e :: remove rest
-    in
-    in_flight := remove !in_flight
-  in
   let link =
     {
       base with
       Link.set_handler =
         (fun id h ->
           base.Link.set_handler id (fun m ->
-              untrack ~src:m.Msg.src ~dst:m.Msg.dst;
+              In_flight.remove in_flight ~at:(Engine.now engine) ~src:m.Msg.src
+                ~dst:m.Msg.dst;
               h m));
     }
   in
@@ -243,7 +341,7 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
             Engine.schedule engine ~at:st.Config.step_at (fun () ->
                 let k =
                   choose
-                    ~label:(Fmt.str "byz%d:%s" id st.Config.step_label)
+                    ~label:("byz" ^ string_of_int id ^ ":" ^ st.Config.step_label)
                     (List.length st.Config.options)
                 in
                 List.iter
@@ -326,7 +424,6 @@ let execute (cfg : Config.t) ~por ~visited ~judge prefix =
   {
     prefix;
     choices = List.rev !choices;
-    fingerprints = List.rev !fps;
     next = !next;
     pruned = !pruned;
     violations;

@@ -21,10 +21,10 @@ type choice = {
 type run = {
   prefix : int array;  (** the choice vector that produced this run *)
   choices : choice list;  (** fresh choice points, in execution order *)
-  fingerprints : string list;  (** world fingerprint at each fresh choice *)
   next : (string * int * string) option;
       (** fingerprint, option count and label of the first choice point
-          beyond the prefix; [None] when the run branched nowhere new *)
+          beyond the prefix — the only choice point a run fingerprints;
+          [None] when the run branched nowhere new *)
   pruned : bool;  (** aborted: the first free choice's state was visited *)
   violations : string list;  (** pairwise-agreement oracle + invariants *)
   splits : string list;  (** split decisions (see {!explore}) *)

@@ -6,9 +6,8 @@
    message and protocol types. Events at equal times run in scheduling order
    (a monotone sequence number breaks ties), so runs are fully deterministic.
 
-   The queue is the monomorphic [Event_queue] rather than the generic
-   {!Heap}: the innermost loop does raw float/int comparisons and allocates
-   nothing per event. *)
+   The queue is the monomorphic [Event_queue]: the innermost loop does raw
+   float/int comparisons and allocates nothing per event. *)
 
 type stats = {
   events_processed : int;

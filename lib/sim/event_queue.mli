@@ -2,9 +2,8 @@
 
     A binary min-heap over parallel arrays: a flat float array of times, an
     int array of sequence numbers, the scheduled closures and fan-out batch
-    descriptors. Compared to the generic {!Heap}, all comparisons are raw
-    float/int operations on unboxed keys and no per-event or per-query
-    allocation happens.
+    descriptors. All comparisons are raw float/int operations on unboxed
+    keys and no per-event or per-query allocation happens.
 
     Ordering is (at, seq) lexicographic: events at equal [at] pop in
     ascending [seq] order, which is what run determinism hangs on — the

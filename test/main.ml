@@ -4,7 +4,7 @@ let () =
   Alcotest.run "ssba"
     [
       ("rng", Test_rng.suite);
-      ("heap", Test_heap.suite);
+      ("heap", Test_event_queue.heap_suite);
       ("event-queue", Test_event_queue.suite);
       ("event-queue-differential", Test_differential.suite);
       ("time-set", Test_time_set.suite);

@@ -271,10 +271,10 @@ let test_fifo_across_fanout () =
 
 (* ----- capacity retention across clear, under armed descriptors --------- *)
 
-(* Companion to the PR-1 Heap.clear pin: [clear] must release event and batch
-   references but keep the grown backing arrays, including when armed
-   fan-out descriptors are in the heap — a clear-per-scenario driver
-   (campaign reuse) would otherwise re-grow from scratch every run. *)
+(* [clear] must release event and batch references but keep the grown
+   backing arrays, including when armed fan-out descriptors are in the heap
+   — a campaign that clears its queue per scenario would otherwise re-grow
+   the arrays from empty every run. *)
 let test_clear_keeps_capacity_under_fanout () =
   let w = make_world () in
   for _ = 1 to 40 do

@@ -148,3 +148,133 @@ let suite =
     case "clear and reuse" test_clear_and_reuse;
     Helpers.qcheck prop_model;
   ]
+
+(* --- the binary min-heap properties, held against the queue ---
+
+   The queue is the engine's only heap. These cases check the heap-level
+   contract the engine leans on beyond pop order: peeking does not remove,
+   pushes and pops interleave, grown capacity survives clear and drain, and
+   [size] counts pending sub-events while [entries] counts heap slots. *)
+
+let test_peek () =
+  let q = Q.create () in
+  List.iteri (fun seq at -> Q.push q ~at ~seq (fun () -> ())) [ 3.0; 1.0; 2.0 ];
+  check_float "min_at = min" 1.0 (Q.min_at q);
+  check_int "min_at does not remove" 3 (Q.size q);
+  check_float "min_at is stable" 1.0 (Q.min_at q)
+
+let test_interleaved () =
+  let q = Q.create () in
+  let ran = ref [] in
+  let push at seq = Q.push q ~at ~seq (fun () -> ran := at :: !ran) in
+  let pop () =
+    (Q.pop_run q) ();
+    List.hd !ran
+  in
+  push 10.0 0;
+  push 5.0 1;
+  check_float "pop 5" 5.0 (pop ());
+  push 1.0 2;
+  push 7.0 3;
+  check_float "pop 1" 1.0 (pop ());
+  check_float "pop 7" 7.0 (pop ());
+  check_float "pop 10" 10.0 (pop ());
+  check_bool "empty again" true (Q.is_empty q)
+
+let test_capacity_survives_clear () =
+  let q = Q.create ~capacity:2 () in
+  for seq = 1 to 500 do
+    Q.push q ~at:(float_of_int seq) ~seq (fun () -> ())
+  done;
+  let grown = Q.capacity q in
+  check_bool "grew past the hint" true (grown >= 500);
+  Q.clear q;
+  check_int "capacity kept across clear" grown (Q.capacity q);
+  Q.push q ~at:1.0 ~seq:501 (fun () -> ());
+  check_int "next push reuses the kept capacity" grown (Q.capacity q)
+
+let test_capacity_survives_drain () =
+  let q = Q.create ~capacity:2 () in
+  for seq = 1 to 500 do
+    Q.push q ~at:(float_of_int seq) ~seq (fun () -> ())
+  done;
+  let grown = Q.capacity q in
+  while not (Q.is_empty q) do
+    Q.pop_invoke q
+  done;
+  check_int "capacity kept across drain-to-empty" grown (Q.capacity q)
+
+(* Equal times pop in seq order even when a fan-out batch's sub-events sit
+   between plain entries at the same time. *)
+let test_tie_break_with_seq () =
+  let q = Q.create () in
+  let ran = ref [] in
+  let plain at seq = Q.push q ~at ~seq (fun () -> ran := (at, seq) :: !ran) in
+  let b = Q.make_batch ~capacity:2 () in
+  b.Q.b_ats.(0) <- 1.0;
+  b.Q.b_seqs.(0) <- 1;
+  b.Q.b_ats.(1) <- 1.0;
+  b.Q.b_seqs.(1) <- 3;
+  b.Q.b_count <- 2;
+  b.Q.b_next <- 0;
+  b.Q.b_fire <- (fun j -> ran := (b.Q.b_ats.(j), b.Q.b_seqs.(j)) :: !ran);
+  plain 1.0 4;
+  Q.push_batch q b;
+  plain 1.0 0;
+  plain 0.5 5;
+  plain 1.0 2;
+  while not (Q.is_empty q) do
+    Q.pop_invoke q
+  done;
+  check_bool "order" true
+    (List.rev !ran = [ (0.5, 5); (1.0, 0); (1.0, 1); (1.0, 2); (1.0, 3); (1.0, 4) ])
+
+(* Each odd element pushes a fan-out batch of up to four sub-events, each
+   even one a plain event: [size] counts sub-events, [entries] heap slots,
+   and draining fires every sub-event exactly once. *)
+let prop_size =
+  QCheck.Test.make ~name:"heap size tracks pushes" ~count:300
+    QCheck.(list small_int)
+    (fun l ->
+      let q = Q.create ~capacity:1 () in
+      let seq = ref 0 in
+      let fired = ref 0 in
+      let next_seq () =
+        let s = !seq in
+        incr seq;
+        s
+      in
+      let subs x = if x land 1 = 0 then 1 else (x mod 4) + 1 in
+      List.iter
+        (fun x ->
+          let at = float_of_int (x mod 7) in
+          if x land 1 = 0 then
+            Q.push q ~at ~seq:(next_seq ()) (fun () -> incr fired)
+          else begin
+            let n = subs x in
+            let b = Q.make_batch ~capacity:n () in
+            for i = 0 to n - 1 do
+              b.Q.b_ats.(i) <- at +. float_of_int i;
+              b.Q.b_seqs.(i) <- next_seq ()
+            done;
+            b.Q.b_count <- n;
+            b.Q.b_fire <- (fun _ -> incr fired);
+            Q.push_batch q b
+          end)
+        l;
+      let total = List.fold_left (fun acc x -> acc + subs x) 0 l in
+      let sized = Q.size q = total && Q.entries q = List.length l in
+      while not (Q.is_empty q) do
+        Q.pop_invoke q
+      done;
+      sized && !fired = total && Q.entries q = 0)
+
+let heap_suite =
+  [
+    case "peek" test_peek;
+    case "interleaved" test_interleaved;
+    case "capacity survives clear" test_capacity_survives_clear;
+    case "capacity survives drain" test_capacity_survives_drain;
+    case "tie-break with seq" test_tie_break_with_seq;
+    Helpers.qcheck prop_size;
+  ]

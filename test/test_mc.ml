@@ -15,7 +15,7 @@ let keys l = List.map fst l
 let test_run_vector_deterministic () =
   let run () =
     let r = Mc.run_vector (Config.smoke ()) ~por:true [| 1; 0; 1 |] in
-    (r.Mc.choices, r.Mc.fingerprints, r.Mc.violations, r.Mc.events)
+    (r.Mc.choices, r.Mc.next, r.Mc.violations, r.Mc.events)
   in
   check_bool "identical runs" true (run () = run ())
 
@@ -25,21 +25,27 @@ let test_run_vector_deterministic () =
    opposite order; the second step is reached while both are still in
    flight. The world fingerprint taken there must coincide under POR
    (canonically sorted in-flight set) and differ without it (raw insertion
-   order). *)
+   order). A run fingerprints only its first choice point past the prefix,
+   so the empty vector exposes the order step and [[|i|]] the probe step
+   after order option [i]. *)
 
-let probe_fingerprint ~por vector =
-  let r = Mc.run_vector (Config.commute_probe ()) ~por vector in
-  match r.Mc.fingerprints with
-  | [ at_order; at_probe ] -> (at_order, at_probe)
-  | l -> Alcotest.failf "expected 2 choice points, saw %d" (List.length l)
+let probe_fingerprint ~por i =
+  let next vector =
+    match (Mc.run_vector (Config.commute_probe ()) ~por vector).Mc.next with
+    | Some (fp, _, _) -> fp
+    | None ->
+        Alcotest.failf "no choice point past prefix of length %d"
+          (Array.length vector)
+  in
+  (next [||], next [| i |])
 
 let test_commuting_sends_hash_equal_under_por () =
-  let o0, p0 = probe_fingerprint ~por:true [| 0; 0 |] in
-  let o1, p1 = probe_fingerprint ~por:true [| 1; 0 |] in
+  let o0, p0 = probe_fingerprint ~por:true 0 in
+  let o1, p1 = probe_fingerprint ~por:true 1 in
   check_str "pre-choice state is one state" o0 o1;
   check_str "commuted in-flight sets canonicalize to one hash" p0 p1;
-  let _, q0 = probe_fingerprint ~por:false [| 0; 0 |] in
-  let _, q1 = probe_fingerprint ~por:false [| 1; 0 |] in
+  let _, q0 = probe_fingerprint ~por:false 0 in
+  let _, q1 = probe_fingerprint ~por:false 1 in
   check_bool "raw insertion order keeps them apart" true (q0 <> q1)
 
 let test_por_prunes_commuted_branch () =
@@ -52,6 +58,14 @@ let test_por_prunes_commuted_branch () =
     (keys on.Mc.violations = keys off.Mc.violations
     && keys on.Mc.splits = keys off.Mc.splits)
 
+(* Exact exploration counts (explored, judged, pruned, frontier, deepest).
+   Any change to the state fingerprint that merges or splits states moves
+   them, even when the verdicts stay the same. *)
+let check_counts msg expected (r : Mc.report) =
+  Alcotest.(check (list int))
+    msg expected
+    [ r.Mc.explored; r.Mc.judged; r.Mc.pruned; r.Mc.frontier; r.Mc.deepest ]
+
 (* --- POR soundness cross-check: same verdict set as full exploration ---
 
    Both modes exhaust the smoke config's whole choice space (frontier 0), so
@@ -59,6 +73,8 @@ let test_por_prunes_commuted_branch () =
 let test_por_full_equivalence_smoke () =
   let on = Mc.explore (Config.smoke ()) ~por:true ~depth:24 in
   let off = Mc.explore (Config.smoke ()) ~por:false ~depth:24 in
+  check_counts "smoke counts, POR on" [ 2167; 1088; 0; 0; 10 ] on;
+  check_counts "smoke counts, POR off" [ 8269; 3975; 287; 0; 13 ] off;
   check_bool "both exhaust the space" true
     (on.Mc.frontier = 0 && off.Mc.frontier = 0 && (not on.Mc.truncated)
    && not off.Mc.truncated);
@@ -67,6 +83,19 @@ let test_por_full_equivalence_smoke () =
     && keys on.Mc.splits = keys off.Mc.splits);
   check_int "smoke space is clean" 0 (List.length on.Mc.violations);
   check_bool "POR reduction factor > 1" true (off.Mc.explored > on.Mc.explored)
+
+(* The knife config under the default block-R gate: both modes exhaust the
+   space clean, with the exact counts of the CLI's knife gate. *)
+let test_knife_default_gate () =
+  List.iter
+    (fun por ->
+      let r = Mc.explore (Config.knife ()) ~por ~depth:24 in
+      check_counts
+        (Printf.sprintf "knife counts, POR %b" por)
+        [ 1407; 1152; 0; 0; 7 ] r;
+      check_bool "knife clean under the default gate" true
+        (r.Mc.violations = [] && r.Mc.splits = [] && not r.Mc.truncated))
+    [ true; false ]
 
 (* --- sensitivity: the checker finds the split the blackout prevents ---
 
@@ -113,6 +142,8 @@ let suite =
     case "POR prunes the commuted branch" test_por_prunes_commuted_branch;
     slow_case "POR and full exploration agree on the smoke space"
       test_por_full_equivalence_smoke;
+    slow_case "knife under the default gate: clean, exact counts"
+      test_knife_default_gate;
     slow_case "blackout sensitivity: split found iff guard off, replayable"
       test_split_sensitivity_and_replay;
   ]
